@@ -293,8 +293,8 @@ def validate_projjson(d: Any, path: str = "projjson") -> list[str]:
     Behavioral analogue of the reference's full typed model tree
     (projjson.py:1-690: Id/Unit/Axis/CoordinateSystem/Ellipsoid/
     PrimeMeridian/reference frames/DatumEnsemble/Conversion/the CRS union/
-    BoundCRS/CompoundCRS/operations), exercised against the reference's
-    own fixture set (tests/_test_data/projjson_examples/*.json). Accepts
+    BoundCRS/CompoundCRS/operations), exercised against the in-repo
+    fixture set of PROJ-layout EPSG documents (tests/data/projjson/). Accepts
     every document shape the top-level ``ProjJSON`` union accepts — CRSs,
     standalone datums/ensembles/primitives, and operations — and recurses
     through every typed sub-object. Returns problems (empty == valid).

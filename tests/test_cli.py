@@ -1,5 +1,5 @@
 """CLI end-to-end smoke (subprocess, as the reference tests its CLI:
-/root/reference/tests/test_cli_e2e.py:21-60)."""
+the reference's tests/test_cli_e2e.py:21-60)."""
 
 import json
 import subprocess

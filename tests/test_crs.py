@@ -195,17 +195,21 @@ class TestReferentialInvariants:
 
 class TestProjjsonReferenceFixtures:
     """The deepened validator must accept every PROJJSON document shape the
-    reference's typed model tree accepts — proven against the reference's
-    own example fixtures (tests/_test_data/projjson_examples/*.json,
-    exercised by its 748-line test_projjson.py) — and reject the same
-    malformed shapes its models reject."""
+    reference's typed model tree accepts, and reject the same malformed
+    shapes its models reject. The documents are the in-repo set under
+    tests/data/projjson/: seven PROJJSON v0.7 documents, one per shape,
+    written by hand in the layout of PROJ's ``projinfo -o PROJJSON`` with
+    values from the EPSG definition of the named object (see that
+    directory's README.md)."""
 
-    FIXTURE_DIR = "/root/reference/tests/_test_data/projjson_examples"
+    FIXTURE_DIR = "data/projjson"  # relative to this file
 
     def _load(self, name):
         import json
+        from pathlib import Path
 
-        with open(f"{self.FIXTURE_DIR}/{name}.json") as f:
+        path = Path(__file__).resolve().parent / self.FIXTURE_DIR / f"{name}.json"
+        with open(path, encoding="utf-8") as f:
             return json.load(f)
 
     @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 """F-group pure-function tests (affine, planning, codec, schema contracts)
 with hand-computed goldens, mirroring the reference's unit tests
-(/root/reference/tests/test_conversion.py:59-146)."""
+(the reference's tests/test_conversion.py:59-146)."""
 
 import numpy as np
 import pyarrow as pa

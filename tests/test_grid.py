@@ -1,7 +1,7 @@
 """Grid unit tests with hand-computed goldens (FIXTURES.md section 3.1).
 
 Mirrors the reference's exact-value unit-test style
-(/root/reference/tests/test_conversion.py:27-57).
+(the reference's tests/test_conversion.py:27-57).
 """
 
 import numpy as np

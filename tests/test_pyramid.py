@@ -1,7 +1,7 @@
 """Pyramid rollup tests with hand-computed goldens per aggregation type.
 
 Mirrors the reference's exact-value resampling tests
-(/root/reference/tests/test_s2_resampling.py, test_conversion.py:27-57:
+(the reference's tests/test_s2_resampling.py, test_conversion.py:27-57:
 block mean of a 4x4 = [[3.5,5.5],[11.5,13.5]]).
 """
 
